@@ -44,13 +44,15 @@ race:
 
 # Zero-allocation gate: the steady-state data plane (pool Get/Put, Mem
 # Send/RecvInto round trip, full segmented AllReduceSum, kernel dispatch)
-# must not touch the heap. The assertions skip themselves under -race (whose
-# instrumentation allocates), so ci runs them in a dedicated non-race pass.
+# and the proxy model's Gradient/Predict must not touch the heap. The
+# assertions skip themselves under -race (whose instrumentation allocates),
+# so ci runs them in a dedicated non-race pass.
 allocgate:
 	$(GO) test ./internal/bufpool/ -run TestSteadyStateGetPutAllocFree -count 1
 	$(GO) test ./internal/transport/ -run TestRecvIntoSteadyStateAllocFree -count 1
 	$(GO) test ./internal/collective/ -run TestAllReduceSteadyStateAllocFree -count 1
 	$(GO) test ./internal/tensor/ -run TestAddScaledDispatchAllocFree -count 1
+	$(GO) test ./internal/model/ -run TestMLPGradientAllocFree -count 1
 
 # Seeded chaos soak: worker fail-stop + controller crash (warm and cold) +
 # timed network partition + elastic join/drain staircase composed in one run,
@@ -78,6 +80,8 @@ postmortem-smoke:
 
 # Data-plane benchmark sweep; machine-readable results land in
 # BENCH_dataplane.json (test2json stream, one JSON object per line). The
+# proxy-model kernels (MLP Gradient/Predict at the two perfbench shapes) are
+# printed as well but stay out of that file, so benchgate does not use them. The
 # traced all-reduce benchmark is recorded alongside the untraced one, and
 # the trace-overhead gate bounds the traced/untraced regression at <3%.
 BENCHTIME ?= 1s
@@ -89,6 +93,7 @@ bench:
 		sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//' | \
 		awk '/^Benchmark/ { name=$$0; next } /ns\/op/ { print name $$0 }'
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
+	$(GO) test ./internal/model/ -run '^$$' -bench 'BenchmarkMLPGradient|BenchmarkMLPPredict' -benchmem -benchtime $(BENCHTIME)
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)
 	PREDUCE_POLICYGATE=1 $(GO) test ./internal/policy/ -run TestPolicyDecideGate -count 1 -v
 	@echo "wrote BENCH_dataplane.json"

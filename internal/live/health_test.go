@@ -88,7 +88,9 @@ func TestLiveWatchdogQuietRunStaysClean(t *testing.T) {
 	}})
 	rec := health.NewRecorder(t.TempDir(), cfg.Tracer, cfg.Instruments, nil)
 	cfg.Watchdog = wd
-	cfg.WatchdogEvery = 5 * time.Millisecond
+	// The cadence must be well below the run's length (a few ms for 60
+	// iterations of this model) or the watchdog never evaluates.
+	cfg.WatchdogEvery = 500 * time.Microsecond
 	cfg.Recorder = rec
 
 	if _, err := Run(cfg, memWorld(cfg.N)); err != nil {

@@ -71,6 +71,20 @@ type Spec struct {
 	Classes int
 }
 
+// Validate reports whether the spec is usable: at least one input, two
+// classes, and every hidden layer at least one unit wide.
+func (s Spec) Validate() error {
+	if s.Inputs < 1 || s.Classes < 2 {
+		return fmt.Errorf("model: invalid spec %+v", s)
+	}
+	for l, h := range s.Hidden {
+		if h < 1 {
+			return fmt.Errorf("model: hidden layer %d has width %d, want >= 1", l, h)
+		}
+	}
+	return nil
+}
+
 // Build constructs the model with Glorot initialization from seed.
 func (s Spec) Build(seed int64) Model {
 	return NewMLP(s, seed)
@@ -85,16 +99,19 @@ type MLP struct {
 	ws    []*tensor.Matrix
 	bs    []tensor.Vector
 	sizes []int // layer widths including input and output
-	// scratch buffers reused across Gradient calls
-	acts   []tensor.Vector // activations per layer (post-nonlinearity)
-	deltas []tensor.Vector // backprop deltas per layer
-	probs  tensor.Vector
+	// Per-sample scratch, grown on first use to the largest batch seen
+	// (Predict and Loss use sample 0). acts[l][s] is sample s's
+	// post-activation at layer l and deltas[l][s] its backprop delta; both
+	// are nil at l == 0, where the activation is the input itself.
+	acts   [][]tensor.Vector
+	deltas [][]tensor.Vector
 }
 
 // NewMLP builds an MLP per spec with Glorot-uniform weights seeded by seed.
+// It panics on an invalid spec.
 func NewMLP(spec Spec, seed int64) *MLP {
-	if spec.Inputs < 1 || spec.Classes < 2 {
-		panic(fmt.Sprintf("model: invalid spec %+v", spec))
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	sizes := append([]int{spec.Inputs}, spec.Hidden...)
 	sizes = append(sizes, spec.Classes)
@@ -110,7 +127,6 @@ func NewMLP(spec Spec, seed int64) *MLP {
 	for l, w := range m.ws {
 		w.FillGlorot(rng, sizes[l], sizes[l+1])
 	}
-	m.initScratch()
 	return m
 }
 
@@ -128,14 +144,21 @@ func (m *MLP) bindViews() {
 	}
 }
 
-func (m *MLP) initScratch() {
-	m.acts = make([]tensor.Vector, len(m.sizes))
-	m.deltas = make([]tensor.Vector, len(m.sizes))
-	for l, sz := range m.sizes {
-		m.acts[l] = tensor.NewVector(sz)
-		m.deltas[l] = tensor.NewVector(sz)
+// grow makes room for per-sample scratch of a batch of n.
+func (m *MLP) grow(n int) {
+	if m.acts != nil && len(m.acts[1]) >= n {
+		return
 	}
-	m.probs = tensor.NewVector(m.spec.Classes)
+	m.acts = make([][]tensor.Vector, len(m.sizes))
+	m.deltas = make([][]tensor.Vector, len(m.sizes))
+	for l := 1; l < len(m.sizes); l++ {
+		m.acts[l] = make([]tensor.Vector, n)
+		m.deltas[l] = make([]tensor.Vector, n)
+		for s := 0; s < n; s++ {
+			m.acts[l][s] = tensor.NewVector(m.sizes[l])
+			m.deltas[l][s] = tensor.NewVector(m.sizes[l])
+		}
+	}
 }
 
 // Params implements Model.
@@ -151,18 +174,18 @@ func (m *MLP) NumParams() int { return len(m.flat) }
 func (m *MLP) Clone() Model {
 	c := &MLP{spec: m.spec, flat: m.flat.Clone(), sizes: m.sizes}
 	c.bindViews()
-	c.initScratch()
 	return c
 }
 
-// forward runs the network on x, leaving logits in m.acts[last] and each
-// layer's post-activation in m.acts.
-func (m *MLP) forward(x tensor.Vector) tensor.Vector {
-	m.acts[0].CopyFrom(x)
+// forward runs the network on x as sample s of the scratch, leaving each
+// layer's post-activation in m.acts[l][s] and returning the logits. The
+// scratch must hold at least s+1 samples.
+func (m *MLP) forward(s int, x tensor.Vector) tensor.Vector {
 	last := len(m.sizes) - 1
+	in := x
 	for l := 0; l < last; l++ {
-		out := m.acts[l+1]
-		m.ws[l].MulVec(out, m.acts[l])
+		out := m.acts[l+1][s]
+		m.ws[l].MulVec(out, in)
 		out.Add(m.bs[l])
 		if l+1 < last { // ReLU on hidden layers only
 			for i, v := range out {
@@ -171,13 +194,15 @@ func (m *MLP) forward(x tensor.Vector) tensor.Vector {
 				}
 			}
 		}
+		in = out
 	}
-	return m.acts[last]
+	return in
 }
 
 // Predict implements Model.
 func (m *MLP) Predict(x tensor.Vector) int {
-	return m.forward(x).ArgMax()
+	m.grow(1)
+	return m.forward(0, x).ArgMax()
 }
 
 // Loss implements Model.
@@ -185,9 +210,10 @@ func (m *MLP) Loss(b *data.Batch) float64 {
 	if len(b.X) == 0 {
 		return 0
 	}
+	m.grow(1)
 	var total float64
 	for i, x := range b.X {
-		logits := m.forward(x)
+		logits := m.forward(0, x)
 		total += tensor.LogSumExp(logits) - logits[b.Y[i]]
 	}
 	return total / float64(len(b.X))
@@ -195,54 +221,64 @@ func (m *MLP) Loss(b *data.Batch) float64 {
 
 // Gradient implements Model. dst receives the average gradient; the average
 // loss is returned.
+//
+// The batch runs layer-major: a forward pass per sample fills the
+// per-sample activations and output deltas, then the backward pass writes
+// each layer's gradient rows once (MeanOuter) and pushes all samples'
+// deltas one layer down. Every gradient element sums its per-sample terms
+// from 0 in batch order and is then scaled by 1/B, so the result is
+// bit-identical to accumulating one sample at a time.
 func (m *MLP) Gradient(dst tensor.Vector, b *data.Batch) float64 {
 	if len(dst) != len(m.flat) {
 		panic(fmt.Sprintf("model: gradient buffer %d, want %d", len(dst), len(m.flat)))
 	}
-	dst.Zero()
-	if len(b.X) == 0 {
+	n := len(b.X)
+	if n == 0 {
+		dst.Zero()
 		return 0
 	}
-
-	// Gradient views into dst mirroring the parameter layout.
-	gws := make([]*tensor.Matrix, len(m.ws))
-	gbs := make([]tensor.Vector, len(m.bs))
-	off := 0
-	for l := range m.ws {
-		in, out := m.sizes[l], m.sizes[l+1]
-		gws[l] = tensor.MatrixFrom(out, in, dst[off:off+out*in])
-		off += out * in
-		gbs[l] = dst[off : off+out]
-		off += out
-	}
+	m.grow(n)
 
 	last := len(m.sizes) - 1
 	var totalLoss float64
-	for i, x := range b.X {
-		logits := m.forward(x)
-		totalLoss += tensor.LogSumExp(logits) - logits[b.Y[i]]
-
+	for s, x := range b.X {
+		logits := m.forward(s, x)
+		totalLoss += tensor.LogSumExp(logits) - logits[b.Y[s]]
 		// Output delta: softmax(logits) - onehot(y).
-		tensor.Softmax(m.probs, logits)
-		d := m.deltas[last]
-		d.CopyFrom(m.probs)
-		d[b.Y[i]] -= 1
+		d := m.deltas[last][s]
+		tensor.Softmax(d, logits)
+		d[b.Y[s]] -= 1
+	}
 
-		// Backpropagate through layers.
-		for l := last - 1; l >= 0; l-- {
-			gws[l].AddOuter(1, m.deltas[l+1], m.acts[l])
-			gbs[l].Add(m.deltas[l+1])
-			if l > 0 {
-				m.ws[l].MulVecT(m.deltas[l], m.deltas[l+1])
+	// Gradient views into dst mirroring the parameter layout, walked from
+	// the output layer down.
+	off := len(dst)
+	for l := last - 1; l >= 0; l-- {
+		in, out := m.sizes[l], m.sizes[l+1]
+		off -= out
+		gb := dst[off : off+out]
+		off -= out * in
+		gw := tensor.Matrix{Rows: out, Cols: in, Data: dst[off : off+out*in]}
+
+		ds := m.deltas[l+1][:n]
+		inputs := b.X
+		if l > 0 {
+			inputs = m.acts[l][:n]
+		}
+		gw.MeanOuter(ds, inputs)
+		tensor.Mean(gb, ds)
+		if l > 0 {
+			for s, d := range ds {
+				below := m.deltas[l][s]
+				m.ws[l].MulVecT(below, d)
 				// ReLU derivative on the hidden activation.
-				for j, a := range m.acts[l] {
+				for j, a := range inputs[s] {
 					if a <= 0 {
-						m.deltas[l][j] = 0
+						below[j] = 0
 					}
 				}
 			}
 		}
 	}
-	dst.Scale(1 / float64(len(b.X)))
-	return totalLoss / float64(len(b.X))
+	return totalLoss / float64(n)
 }

@@ -33,9 +33,10 @@ func TestParamLayout(t *testing.T) {
 	}
 	// Params is live storage: writing through it changes predictions.
 	x := tensor.Vector{1, 2, 3, 4}
-	before := m.forward(x).Clone()
+	m.grow(1)
+	before := m.forward(0, x).Clone()
 	m.Params().Fill(0)
-	after := m.forward(x)
+	after := m.forward(0, x)
 	if before.Sub(after); before.NormInf() == 0 {
 		t.Fatal("zeroing Params did not change the forward pass")
 	}
@@ -228,5 +229,31 @@ func TestDeterministicInit(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds produced identical init")
+	}
+}
+
+func TestSpecValidate(t *testing.T) {
+	for _, s := range []Spec{
+		{Inputs: 0, Classes: 3},
+		{Inputs: 4, Classes: 1},
+		{Inputs: 4, Hidden: []int{0}, Classes: 3},
+		{Inputs: 4, Hidden: []int{8, -2}, Classes: 3},
+	} {
+		if s.Validate() == nil {
+			t.Errorf("spec %+v accepted", s)
+		}
+		func() {
+			defer func() {
+				if _, ok := recover().(error); !ok {
+					t.Errorf("NewMLP(%+v) did not panic with the validation error", s)
+				}
+			}()
+			NewMLP(s, 1)
+		}()
+	}
+	for _, s := range []Spec{{Inputs: 1, Classes: 2}, {Inputs: 4, Hidden: []int{1, 8}, Classes: 3}} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %+v rejected: %v", s, err)
+		}
 	}
 }

@@ -48,14 +48,34 @@ func (m *Matrix) Zero() { m.Data.Zero() }
 
 // MulVec writes m·x into dst. dst must have length m.Rows and x length
 // m.Cols; dst must not alias x.
+//
+// Rows go four at a time: one pass over x feeds four independent
+// accumulators instead of one latency-bound add chain. Each output still
+// sums w·x from 0 in ascending column order, so the rounding is exactly
+// that of the one-row-at-a-time loop.
 func (m *Matrix) MulVec(dst, x Vector) {
 	checkLen(len(dst), m.Rows)
 	checkLen(len(x), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Row(i)[:len(x)]
+		r1 := m.Row(i + 1)[:len(x)]
+		r2 := m.Row(i + 2)[:len(x)]
+		r3 := m.Row(i + 3)[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		r := m.Row(i)[:len(x)]
 		var s float64
-		for j, w := range row {
-			s += w * x[j]
+		for j, xj := range x {
+			s += r[j] * xj
 		}
 		dst[i] = s
 	}
@@ -63,11 +83,30 @@ func (m *Matrix) MulVec(dst, x Vector) {
 
 // MulVecT writes mᵀ·x into dst. dst must have length m.Cols and x length
 // m.Rows; dst must not alias x.
+//
+// Each pass over dst folds in four rows of m. Every element still starts
+// at 0 and receives += x[i]·m[i][j] in ascending i, the rounding of one
+// Axpy per row.
 func (m *Matrix) MulVecT(dst, x Vector) {
 	checkLen(len(dst), m.Cols)
 	checkLen(len(x), m.Rows)
 	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		r0 := m.Row(i)[:len(dst)]
+		r1 := m.Row(i + 1)[:len(dst)]
+		r2 := m.Row(i + 2)[:len(dst)]
+		r3 := m.Row(i + 3)[:len(dst)]
+		for j, d := range dst {
+			d += x0 * r0[j]
+			d += x1 * r1[j]
+			d += x2 * r2[j]
+			d += x3 * r3[j]
+			dst[j] = d
+		}
+	}
+	for ; i < m.Rows; i++ {
 		dst.Axpy(x[i], m.Row(i))
 	}
 }
@@ -82,35 +121,67 @@ func (m *Matrix) AddOuter(a float64, x, y Vector) {
 	}
 }
 
-// Mul writes a·b into dst (dst = a×b). Shapes must agree and dst must not
-// alias a or b.
-func Mul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// MeanOuter overwrites m with the mean outer product (1/B)·Σ_s xs[s]·ys[s]ᵀ
+// over B = len(xs) = len(ys) pairs; each xs[s] has length m.Rows and each
+// ys[s] length m.Cols; it panics if B is 0 or a length differs. This is the
+// weight gradient of a dense layer over a batch (deltas × inputs).
+//
+// Each row is finished before the next is touched, taking four samples per
+// pass, and the 1/B scale is folded into the last pass. Every element
+// starts at 0, receives += xs[s][i]·ys[s][j] in sample order and is then
+// multiplied by 1/B: bit-identical to Zero, one AddOuter per sample, then
+// Scale — without the two extra passes over m.
+func (m *Matrix) MeanOuter(xs, ys []Vector) {
+	if len(xs) == 0 {
+		panic("tensor: MeanOuter of no samples")
 	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for k, av := range ar {
-			if av == 0 {
-				continue
+	checkLen(len(xs), len(ys))
+	for s := range xs {
+		checkLen(len(xs[s]), m.Rows)
+		checkLen(len(ys[s]), m.Cols)
+	}
+	inv := 1 / float64(len(xs))
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for s := 0; s < len(xs); s += 4 {
+			k := min(4, len(xs)-s)
+			scale := 1.0
+			if s+k == len(xs) {
+				scale = inv
 			}
-			dr.Axpy(av, b.Row(k))
+			accumRow(row, xs[s:s+k], ys[s:s+k], i, s == 0, scale)
 		}
 	}
 }
 
-// Transpose returns a new matrix holding mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
+// accumRow adds xs[t][i]·ys[t][j] to row[j] for the (at most four) samples
+// t in order, starting each element from 0 when fresh, and stores the sum
+// times scale (exactly the sum when scale is 1).
+func accumRow(row Vector, xs, ys []Vector, i int, fresh bool, scale float64) {
+	if len(xs) == 4 {
+		c0, c1, c2, c3 := xs[0][i], xs[1][i], xs[2][i], xs[3][i]
+		y0, y1, y2, y3 := ys[0][:len(row)], ys[1][:len(row)], ys[2][:len(row)], ys[3][:len(row)]
+		for j, g := range row {
+			if fresh {
+				g = 0
+			}
+			g += c0 * y0[j]
+			g += c1 * y1[j]
+			g += c2 * y2[j]
+			g += c3 * y3[j]
+			row[j] = g * scale
 		}
+		return
 	}
-	return t
+	for j, g := range row {
+		if fresh {
+			g = 0
+		}
+		for t, x := range xs {
+			g += x[i] * ys[t][j]
+		}
+		row[j] = g * scale
+	}
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

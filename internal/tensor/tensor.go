@@ -1,7 +1,7 @@
 // Package tensor provides the dense float64 linear algebra used by the
 // training stack: vectors, row-major matrices, and the handful of BLAS-like
-// kernels (axpy, gemv, gemm, softmax, norms) that model forward/backward
-// passes need. Everything is allocation-conscious: operations write into
+// kernels (axpy, blocked gemv, batched outer products, softmax, norms) that
+// model forward/backward passes need. Everything is allocation-conscious: operations write into
 // caller-provided destinations so hot training loops can reuse buffers.
 package tensor
 

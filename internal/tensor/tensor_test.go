@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,6 +172,11 @@ func TestMismatchPanics(t *testing.T) {
 	assertPanics(t, "WeightedAverage", func() { WeightedAverage(NewVector(1), []float64{1}, nil) })
 	assertPanics(t, "Mean", func() { Mean(NewVector(1), nil) })
 	assertPanics(t, "MatrixFrom", func() { MatrixFrom(2, 2, Vector{1}) })
+	m := NewMatrix(2, 3)
+	assertPanics(t, "MeanOuter empty", func() { m.MeanOuter(nil, nil) })
+	assertPanics(t, "MeanOuter count", func() { m.MeanOuter([]Vector{{1, 2}}, nil) })
+	assertPanics(t, "MeanOuter rows", func() { m.MeanOuter([]Vector{{1}}, []Vector{{1, 2, 3}}) })
+	assertPanics(t, "MeanOuter cols", func() { m.MeanOuter([]Vector{{1, 2}}, []Vector{{1, 2}}) })
 }
 
 func assertPanics(t *testing.T, name string, f func()) {
@@ -210,25 +216,8 @@ func TestMatrixAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatrixMul(t *testing.T) {
-	a := MatrixFrom(2, 3, Vector{1, 2, 3, 4, 5, 6})
-	b := MatrixFrom(3, 2, Vector{7, 8, 9, 10, 11, 12})
-	dst := NewMatrix(2, 2)
-	Mul(dst, a, b)
-	want := []float64{58, 64, 139, 154}
-	for i, w := range want {
-		if dst.Data[i] != w {
-			t.Fatalf("Mul: got %v want %v", dst.Data, want)
-		}
-	}
-}
-
-func TestTransposeSymmetric(t *testing.T) {
+func TestIsSymmetric(t *testing.T) {
 	m := MatrixFrom(2, 3, Vector{1, 2, 3, 4, 5, 6})
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(0, 1) != 4 {
-		t.Fatalf("Transpose: got %v", tr)
-	}
 	s := MatrixFrom(2, 2, Vector{1, 2, 2, 1})
 	if !s.IsSymmetric(0) {
 		t.Fatal("IsSymmetric false negative")
@@ -332,53 +321,101 @@ func TestQuickDotSymmetry(t *testing.T) {
 	}
 }
 
-// Property: (A·B)ᵀ == Bᵀ·Aᵀ on random shapes.
-func TestQuickMulTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a, b := NewMatrix(m, k), NewMatrix(k, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
+// naiveMulVec is the one-row-at-a-time reference for MulVec: one serial
+// add chain per output.
+func naiveMulVec(m *Matrix, dst, x Vector) {
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for j, w := range m.Row(i) {
+			s += w * x[j]
 		}
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
+		dst[i] = s
+	}
+}
+
+// naiveMulVecT is the reference for MulVecT: zero, then one Axpy per row.
+func naiveMulVecT(m *Matrix, dst, x Vector) {
+	dst.Zero()
+	for i := 0; i < m.Rows; i++ {
+		dst.Axpy(x[i], m.Row(i))
+	}
+}
+
+// naiveMeanOuter is the reference for MeanOuter: zero, one AddOuter per
+// sample, then Scale.
+func naiveMeanOuter(m *Matrix, xs, ys []Vector) {
+	m.Zero()
+	for s := range xs {
+		m.AddOuter(1, xs[s], ys[s])
+	}
+	m.Data.Scale(1 / float64(len(xs)))
+}
+
+// randVec draws n normals, with about one entry in eight forced to 0 so
+// that signed-zero products (0·negative = -0) are exercised.
+func randVec(rng *rand.Rand, n int) Vector {
+	v := NewVector(n)
+	for i := range v {
+		if rng.Intn(8) > 0 {
+			v[i] = rng.NormFloat64()
 		}
-		ab := NewMatrix(m, n)
-		Mul(ab, a, b)
-		btat := NewMatrix(n, m)
-		Mul(btat, b.Transpose(), a.Transpose())
-		abt := ab.Transpose()
-		for i := range abt.Data {
-			if !almostEq(abt.Data[i], btat.Data[i], 1e-9) {
-				t.Fatalf("(AB)^T != B^T A^T")
-			}
+	}
+	return v
+}
+
+func nanVec(n int) Vector {
+	v := NewVector(n)
+	v.Fill(math.NaN())
+	return v
+}
+
+func sameBits(t *testing.T, what string, got, want Vector) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), reference %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-// Property: MulVec agrees with Mul against a 1-column matrix.
+// Property: the blocked MulVec and MulVecT round every output exactly as
+// the naive loops do, and overwrite every element of dst, across shapes
+// that are and are not multiples of the four-row block.
 func TestQuickMulVecConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		m, k := 1+rng.Intn(8), 1+rng.Intn(8)
-		a := NewMatrix(m, k)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
+	for trial := 0; trial < 200; trial++ {
+		m, k := 1+rng.Intn(19), 1+rng.Intn(19)
+		a := MatrixFrom(m, k, randVec(rng, m*k))
+		x, xt := randVec(rng, k), randVec(rng, m)
+
+		got, want := nanVec(m), NewVector(m)
+		a.MulVec(got, x)
+		naiveMulVec(a, want, x)
+		sameBits(t, "MulVec", got, want)
+
+		gotT, wantT := nanVec(k), NewVector(k)
+		a.MulVecT(gotT, xt)
+		naiveMulVecT(a, wantT, xt)
+		sameBits(t, "MulVecT", gotT, wantT)
+	}
+}
+
+// Property: MeanOuter is bit-identical to zero + AddOuter per sample +
+// Scale for every batch size 1…17, including the partial four-sample
+// block, and overwrites all of m.
+func TestQuickMeanOuterConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for b := 1; b <= 17; b++ {
+		rows, cols := 1+rng.Intn(9), 1+rng.Intn(9)
+		xs, ys := make([]Vector, b), make([]Vector, b)
+		for s := range xs {
+			xs[s], ys[s] = randVec(rng, rows), randVec(rng, cols)
 		}
-		x := NewVector(k)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		dst := NewVector(m)
-		a.MulVec(dst, x)
-		xm := MatrixFrom(k, 1, x.Clone())
-		prod := NewMatrix(m, 1)
-		Mul(prod, a, xm)
-		for i := 0; i < m; i++ {
-			if !almostEq(dst[i], prod.At(i, 0), 1e-9) {
-				t.Fatalf("MulVec disagrees with Mul")
-			}
-		}
+		got := MatrixFrom(rows, cols, nanVec(rows*cols))
+		want := NewMatrix(rows, cols)
+		got.MeanOuter(xs, ys)
+		naiveMeanOuter(want, xs, ys)
+		sameBits(t, fmt.Sprintf("MeanOuter B=%d", b), got.Data, want.Data)
 	}
 }
