@@ -28,9 +28,12 @@ chargeguard:
 	fi; echo "chargeguard: ok"
 
 # staticcheck is optional tooling: run it when the binary is on PATH, skip
-# quietly otherwise so ci stays green on minimal containers.
+# quietly otherwise so ci stays green on minimal containers. The arm64 pass
+# keeps the generic (non-assembly) tensor kernels compiling; the native pass
+# also runs asmdecl over the amd64 assembly.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:
@@ -80,8 +83,10 @@ postmortem-smoke:
 
 # Data-plane benchmark sweep; machine-readable results land in
 # BENCH_dataplane.json (test2json stream, one JSON object per line). The
-# proxy-model kernels (MLP Gradient/Predict at the two perfbench shapes) are
-# printed as well but stay out of that file, so benchgate does not use them. The
+# proxy-model kernels (MLP Gradient/Predict at the two perfbench shapes, and
+# MulVec/MulVecT/MeanOuter at the four perfbench layer shapes, SIMD and
+# generic) are printed as well but stay out of that file, so benchgate does
+# not use them. The
 # traced all-reduce benchmark is recorded alongside the untraced one, and
 # the trace-overhead gate bounds the traced/untraced regression at <3%.
 BENCHTIME ?= 1s
@@ -94,6 +99,7 @@ bench:
 		awk '/^Benchmark/ { name=$$0; next } /ns\/op/ { print name $$0 }'
 	PREDUCE_TRACEGATE=1 $(GO) test ./internal/collective/ -run TestTraceOverheadGate -count 1 -v
 	$(GO) test ./internal/model/ -run '^$$' -bench 'BenchmarkMLPGradient|BenchmarkMLPPredict' -benchmem -benchtime $(BENCHTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -bench 'BenchmarkMulVec|BenchmarkMeanOuter' -benchmem -benchtime $(BENCHTIME)
 	$(GO) test ./internal/policy/ -run '^$$' -bench BenchmarkPolicyDecide -benchmem -benchtime $(BENCHTIME)
 	PREDUCE_POLICYGATE=1 $(GO) test ./internal/policy/ -run TestPolicyDecideGate -count 1 -v
 	@echo "wrote BENCH_dataplane.json"

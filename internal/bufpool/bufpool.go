@@ -1,11 +1,14 @@
 // Package bufpool provides size-classed buffer pools for the data plane's
 // two hot buffer types: []float64 payload vectors and []byte wire frames.
-// Buffers are recycled through sync.Pool under power-of-two size classes, so
-// a steady-state communication loop — the ring collectives stepping over the
-// in-process or TCP transport — performs zero heap allocations once the pools
-// are warm. (Slice headers are recycled alongside the backing arrays: boxing
-// a *[]T into sync.Pool's interface is pointer-shaped and allocation-free,
-// whereas Put(&local) would heap-allocate a header per call.)
+// Buffers are recycled through one mutex-guarded free list per power-of-two
+// size class, so a steady-state communication loop — the ring collectives
+// stepping over the in-process or TCP transport — performs zero heap
+// allocations once the pools are warm: a Get misses only when more buffers of
+// its class are in use at once than ever before. (A sync.Pool gives no such
+// bound: a Get cannot see another P's private slot, and a P's queue grows
+// by allocation whenever its backlog hits a new high, so refills trickle on
+// long after warm-up.) Idle buffers are never released: the pools hold at
+// most the peak number in use.
 //
 // Ownership rules (see DESIGN.md "Data plane"):
 //
@@ -70,10 +73,33 @@ func Float64Misses() int64 { return f64Misses.Load() }
 // allocation since process start.
 func BytesMisses() int64 { return byteMisses.Load() }
 
-var (
-	f64Pools   [maxClass + 1]sync.Pool
-	f64Headers = sync.Pool{New: func() any { return new([]float64) }}
-)
+// freeList is one size class's idle buffers, the most recently returned last.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	bufs [][]T
+}
+
+// get pops an idle buffer, or returns nil when there is none.
+func (l *freeList[T]) get() []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := l.bufs[n-1]
+	l.bufs[n-1] = nil
+	l.bufs = l.bufs[:n-1]
+	return b
+}
+
+func (l *freeList[T]) put(b []T) {
+	l.mu.Lock()
+	l.bufs = append(l.bufs, b)
+	l.mu.Unlock()
+}
+
+var f64Pools [maxClass + 1]freeList[float64]
 
 // GetFloat64 returns a []float64 of length n (capacity a power of two >= n)
 // from the pool, allocating only on a miss. Contents are unspecified; callers
@@ -84,12 +110,8 @@ func GetFloat64(n int) []float64 {
 		f64Misses.Add(1)
 		return make([]float64, n)
 	}
-	if v := f64Pools[c].Get(); v != nil {
-		h := v.(*[]float64)
-		buf := (*h)[:n]
-		*h = nil
-		f64Headers.Put(h)
-		return buf
+	if buf := f64Pools[c].get(); buf != nil {
+		return buf[:n]
 	}
 	f64Misses.Add(1)
 	return make([]float64, n, 1<<c)
@@ -98,19 +120,12 @@ func GetFloat64(n int) []float64 {
 // PutFloat64 recycles buf for a future GetFloat64. Buffers whose capacity is
 // not an exact class size are dropped; nil is a no-op.
 func PutFloat64(buf []float64) {
-	c := capClass(cap(buf))
-	if c < 0 {
-		return
+	if c := capClass(cap(buf)); c >= 0 {
+		f64Pools[c].put(buf[:cap(buf)])
 	}
-	h := f64Headers.Get().(*[]float64)
-	*h = buf[:cap(buf)]
-	f64Pools[c].Put(h)
 }
 
-var (
-	bytePools   [maxClass + 1]sync.Pool
-	byteHeaders = sync.Pool{New: func() any { return new([]byte) }}
-)
+var bytePools [maxClass + 1]freeList[byte]
 
 // GetBytes returns a []byte of length n (capacity a power of two >= n) from
 // the pool, allocating only on a miss. Contents are unspecified.
@@ -120,12 +135,8 @@ func GetBytes(n int) []byte {
 		byteMisses.Add(1)
 		return make([]byte, n)
 	}
-	if v := bytePools[c].Get(); v != nil {
-		h := v.(*[]byte)
-		buf := (*h)[:n]
-		*h = nil
-		byteHeaders.Put(h)
-		return buf
+	if buf := bytePools[c].get(); buf != nil {
+		return buf[:n]
 	}
 	byteMisses.Add(1)
 	return make([]byte, n, 1<<c)
@@ -133,11 +144,7 @@ func GetBytes(n int) []byte {
 
 // PutBytes recycles buf; non-class capacities are dropped, nil is a no-op.
 func PutBytes(buf []byte) {
-	c := capClass(cap(buf))
-	if c < 0 {
-		return
+	if c := capClass(cap(buf)); c >= 0 {
+		bytePools[c].put(buf[:cap(buf)])
 	}
-	h := byteHeaders.Get().(*[]byte)
-	*h = buf[:cap(buf)]
-	bytePools[c].Put(h)
 }

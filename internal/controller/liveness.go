@@ -137,7 +137,3 @@ func (c *Controller) Alive() []bool {
 	copy(out, c.alive)
 	return out
 }
-
-// EffectiveP exposes the current effective group size (P shrunk to the
-// surviving worker count).
-func (c *Controller) EffectiveP() int { return c.groupSize() }

@@ -104,10 +104,11 @@ func (o *SGD) Update(params, grad tensor.Vector, scale float64) {
 	}
 	lr := o.LR() * scale
 	mu, wd := o.cfg.Momentum, o.cfg.WeightDecay
-	for i := range params {
-		g := grad[i] + wd*params[i]
-		o.velocity[i] = mu*o.velocity[i] + g
-		params[i] -= lr * o.velocity[i]
+	v, grad := o.velocity[:len(params)], grad[:len(params)]
+	for i, w := range params {
+		vi := mu*v[i] + (grad[i] + wd*w)
+		v[i] = vi
+		params[i] = w - lr*vi
 	}
 	o.step++
 }

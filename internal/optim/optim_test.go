@@ -1,6 +1,7 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -185,5 +186,60 @@ func TestStateRestore(t *testing.T) {
 	}
 	if v, s := o2.State(); s != 0 || v.NormInf() != 0 {
 		t.Fatal("nil restore did not zero state")
+	}
+}
+
+// referenceUpdate is the original one-expression-per-line SGD loop, kept to
+// pin Update's rounding: same operations, same order.
+func referenceUpdate(o *SGD, params, grad tensor.Vector, scale float64) {
+	lr := o.LR() * scale
+	mu, wd := o.cfg.Momentum, o.cfg.WeightDecay
+	for i := range params {
+		g := grad[i] + wd*params[i]
+		o.velocity[i] = mu*o.velocity[i] + g
+		params[i] -= lr * o.velocity[i]
+	}
+	o.step++
+}
+
+// Update must match the reference loop bit for bit over several steps with
+// momentum, weight decay, a decaying schedule and a scaled learning rate.
+func TestUpdateMatchesReference(t *testing.T) {
+	cfg := Config{LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4, Schedule: StepDecay{Every: 2, Factor: 0.1}}
+	const n = 37
+	got, want := NewSGD(cfg, n), NewSGD(cfg, n)
+	pg, pw := tensor.NewVector(n), tensor.NewVector(n)
+	for i := range pg {
+		pg[i] = math.Sin(float64(i))
+	}
+	pw.CopyFrom(pg)
+	grad := tensor.NewVector(n)
+	for step := 0; step < 5; step++ {
+		for i := range grad {
+			grad[i] = math.Cos(float64(i*(step+1))) / 3
+		}
+		scale := 1 / float64(step+1)
+		got.Update(pg, grad, scale)
+		referenceUpdate(want, pw, grad, scale)
+		for i := range pg {
+			if math.Float64bits(pg[i]) != math.Float64bits(pw[i]) ||
+				math.Float64bits(got.velocity[i]) != math.Float64bits(want.velocity[i]) {
+				t.Fatalf("step %d element %d: params %v velocity %v, reference %v %v",
+					step, i, pg[i], got.velocity[i], pw[i], want.velocity[i])
+			}
+		}
+	}
+}
+
+func BenchmarkSGDUpdate(b *testing.B) {
+	for _, n := range []int{1034, 594698} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			o := NewSGD(Paper(), n)
+			p, g := tensor.NewVector(n), tensor.NewVector(n)
+			g.Fill(1e-3)
+			for b.Loop() {
+				o.Update(p, g, 1)
+			}
+		})
 	}
 }

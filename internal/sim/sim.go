@@ -118,38 +118,3 @@ func Stream(base int64, id int64) *rand.Rand {
 	z ^= z >> 31
 	return rand.New(rand.NewSource(int64(z)))
 }
-
-// Resource is a single FIFO server with deterministic service order: requests
-// are processed back to back in submission order. It models serialized
-// shared links such as a parameter server's NIC, where concurrent pushes
-// queue behind each other (the incast bottleneck of §2.2).
-type Resource struct {
-	eng  *Engine
-	free Time // when the server finishes its current backlog
-	busy float64
-}
-
-// NewResource returns a resource bound to eng.
-func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
-
-// Schedule enqueues a request needing service seconds of server time and
-// calls done when it completes. It returns the completion time.
-func (r *Resource) Schedule(service float64, done func()) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v", service))
-	}
-	start := r.eng.Now()
-	if r.free > start {
-		start = r.free
-	}
-	r.free = start + service
-	r.busy += service
-	end := r.free
-	if done != nil {
-		r.eng.At(end, done)
-	}
-	return end
-}
-
-// Busy returns the total service time scheduled so far (utilization numerator).
-func (r *Resource) Busy() float64 { return r.busy }

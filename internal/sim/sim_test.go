@@ -150,57 +150,6 @@ func TestStreamDeterminismAndIndependence(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	var done []Time
-	// Three requests submitted at t=0 with 1s service each serialize.
-	e.At(0, func() {
-		for i := 0; i < 3; i++ {
-			r.Schedule(1, func() { done = append(done, e.Now()) })
-		}
-	})
-	e.Run()
-	want := []Time{1, 2, 3}
-	if len(done) != 3 {
-		t.Fatalf("done=%v", done)
-	}
-	for i, w := range want {
-		if done[i] != w {
-			t.Fatalf("done=%v want %v", done, want)
-		}
-	}
-	if r.Busy() != 3 {
-		t.Fatalf("busy=%v", r.Busy())
-	}
-}
-
-func TestResourceIdleGap(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	var finish Time
-	e.At(0, func() { r.Schedule(1, nil) })
-	e.At(5, func() { r.Schedule(1, func() { finish = e.Now() }) })
-	e.Run()
-	if finish != 6 {
-		t.Fatalf("second request finished at %v, want 6 (idle gap preserved)", finish)
-	}
-}
-
-func TestResourceNegativeServicePanics(t *testing.T) {
-	var e Engine
-	r := NewResource(&e)
-	e.At(0, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		r.Schedule(-1, nil)
-	})
-	e.Run()
-}
-
 // Property: any multiset of event times fires sorted.
 func TestQuickOrdering(t *testing.T) {
 	f := func(times []uint16) bool {
@@ -212,36 +161,6 @@ func TestQuickOrdering(t *testing.T) {
 		}
 		e.Run()
 		return sort.Float64sAreSorted(got) && len(got) == len(times)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a FIFO resource completes requests in submission order and never
-// overlaps service intervals.
-func TestQuickResourceSerialization(t *testing.T) {
-	f := func(services []uint8) bool {
-		var e Engine
-		r := NewResource(&e)
-		var ends []Time
-		e.At(0, func() {
-			for _, s := range services {
-				r.Schedule(float64(s)/10, func() { ends = append(ends, e.Now()) })
-			}
-		})
-		e.Run()
-		if len(ends) != len(services) {
-			return false
-		}
-		var sum Time
-		for i, s := range services {
-			sum += Time(s) / 10
-			if ends[i] != sum {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

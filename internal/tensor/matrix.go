@@ -52,11 +52,17 @@ func (m *Matrix) Zero() { m.Data.Zero() }
 // Rows go four at a time: one pass over x feeds four independent
 // accumulators instead of one latency-bound add chain. Each output still
 // sums w·x from 0 in ascending column order, so the rounding is exactly
-// that of the one-row-at-a-time loop.
+// that of the one-row-at-a-time loop. With AVX, eight rows go per
+// assembly call, one accumulator per YMM lane, in the same order.
 func (m *Matrix) MulVec(dst, x Vector) {
 	checkLen(len(dst), m.Rows)
 	checkLen(len(x), m.Cols)
 	i := 0
+	if useSIMD {
+		for ; i+8 <= m.Rows; i += 8 {
+			mulVec8AVX(dst[i:i+8], m.Data[i*m.Cols:(i+8)*m.Cols], x)
+		}
+	}
 	for ; i+4 <= m.Rows; i += 4 {
 		r0 := m.Row(i)[:len(x)]
 		r1 := m.Row(i + 1)[:len(x)]
@@ -86,7 +92,8 @@ func (m *Matrix) MulVec(dst, x Vector) {
 //
 // Each pass over dst folds in four rows of m. Every element still starts
 // at 0 and receives += x[i]·m[i][j] in ascending i, the rounding of one
-// Axpy per row.
+// Axpy per row. With AVX, each four-row pass is one accum4AVX call (four
+// elements of dst per YMM register).
 func (m *Matrix) MulVecT(dst, x Vector) {
 	checkLen(len(dst), m.Cols)
 	checkLen(len(x), m.Rows)
@@ -98,6 +105,10 @@ func (m *Matrix) MulVecT(dst, x Vector) {
 		r1 := m.Row(i + 1)[:len(dst)]
 		r2 := m.Row(i + 2)[:len(dst)]
 		r3 := m.Row(i + 3)[:len(dst)]
+		if useSIMD {
+			accum4AVX(dst, r0, r1, r2, r3, x0, x1, x2, x3, 1, false)
+			continue
+		}
 		for j, d := range dst {
 			d += x0 * r0[j]
 			d += x1 * r1[j]
@@ -156,11 +167,16 @@ func (m *Matrix) MeanOuter(xs, ys []Vector) {
 
 // accumRow adds xs[t][i]·ys[t][j] to row[j] for the (at most four) samples
 // t in order, starting each element from 0 when fresh, and stores the sum
-// times scale (exactly the sum when scale is 1).
+// times scale (exactly the sum when scale is 1). Four samples run on AVX
+// where available, one row element per lane.
 func accumRow(row Vector, xs, ys []Vector, i int, fresh bool, scale float64) {
 	if len(xs) == 4 {
 		c0, c1, c2, c3 := xs[0][i], xs[1][i], xs[2][i], xs[3][i]
 		y0, y1, y2, y3 := ys[0][:len(row)], ys[1][:len(row)], ys[2][:len(row)], ys[3][:len(row)]
+		if useSIMD {
+			accum4AVX(row, y0, y1, y2, y3, c0, c1, c2, c3, scale, fresh)
+			return
+		}
 		for j, g := range row {
 			if fresh {
 				g = 0

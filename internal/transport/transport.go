@@ -216,14 +216,13 @@ type recvResult struct {
 // waiter is one blocked receive. In into mode (dst non-nil or into set), the
 // delivering goroutine copies the payload into dst and recycles the internal
 // buffer; in plain mode the buffer is handed off to the receiver. Waiters are
-// pooled: a ring step's receive must not allocate.
+// recycled through their mailbox's idle list: a ring step's receive must not
+// allocate.
 type waiter struct {
 	dst  []float64
 	into bool
 	ch   chan recvResult
 }
-
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan recvResult, 1)} }}
 
 // mailbox matches incoming messages to waiting receivers, with per-peer
 // failure isolation and per-operation aborts. Pending payload buffers are
@@ -236,8 +235,12 @@ type mailbox struct {
 	waiters map[key]*waiter
 	down    map[int]bool
 	aborted map[uint64]int // op id -> dead rank that caused the abort
-	closed  bool
-	dead    int // >= 0: the owning rank failed itself (fail-stop crash)
+	// idle holds finished waiters for reuse. Unlike a sync.Pool it never
+	// misses while a waiter is idle, so a mailbox allocates waiters only up
+	// to its peak number of concurrently blocked receives.
+	idle   []*waiter
+	closed bool
+	dead   int // >= 0: the owning rank failed itself (fail-stop crash)
 }
 
 func newMailbox() *mailbox {
@@ -346,18 +349,37 @@ func (m *mailbox) deliver(msg message) error {
 	return nil
 }
 
-// receiveWait registers a pooled waiter for (from, tag) in into or plain
+// receiveWait parks a waiter for (from, tag) in into or plain
 // mode, blocks for the result, and recycles the waiter.
 func (m *mailbox) receiveWait(k key, dst []float64, into bool) recvResult {
-	w := waiterPool.Get().(*waiter)
-	w.dst, w.into = dst, into
-	m.waiters[k] = w
+	w := m.park(k, dst, into)
 	m.mu.Unlock()
 
 	r := <-w.ch
-	w.dst = nil
-	waiterPool.Put(w)
+	m.mu.Lock()
+	m.unpark(w)
+	m.mu.Unlock()
 	return r
+}
+
+// park registers an idle (or new) waiter for k; m.mu must be held.
+func (m *mailbox) park(k key, dst []float64, into bool) *waiter {
+	var w *waiter
+	if n := len(m.idle); n > 0 {
+		w, m.idle = m.idle[n-1], m.idle[:n-1]
+	} else {
+		w = &waiter{ch: make(chan recvResult, 1)}
+	}
+	w.dst, w.into = dst, into
+	m.waiters[k] = w
+	return w
+}
+
+// unpark returns a waiter that is out of m.waiters and has no result in
+// flight to the idle list; m.mu must be held.
+func (m *mailbox) unpark(w *waiter) {
+	w.dst = nil
+	m.idle = append(m.idle, w)
 }
 
 // checkReceivable reports (under m.mu) whether a receive from (from, tag)
@@ -435,9 +457,7 @@ func (m *mailbox) receiveIntoDeadline(from int, tag uint64, dst []float64, timeo
 		return n, nil
 	}
 
-	w := waiterPool.Get().(*waiter)
-	w.dst, w.into = dst, true
-	m.waiters[k] = w
+	w := m.park(k, dst, true)
 	m.mu.Unlock()
 
 	timer := time.NewTimer(timeout)
@@ -450,9 +470,8 @@ func (m *mailbox) receiveIntoDeadline(from int, tag uint64, dst []float64, timeo
 		if cur, ok := m.waiters[k]; ok && cur == w {
 			// Still parked: withdraw it. We own the waiter again.
 			delete(m.waiters, k)
+			m.unpark(w)
 			m.mu.Unlock()
-			w.dst = nil
-			waiterPool.Put(w)
 			return 0, &TimeoutError{Peer: from, Tag: tag, Timeout: timeout}
 		}
 		// A deliverer (or failure path) already claimed the waiter; its
@@ -460,8 +479,9 @@ func (m *mailbox) receiveIntoDeadline(from int, tag uint64, dst []float64, timeo
 		m.mu.Unlock()
 		r = <-w.ch
 	}
-	w.dst = nil
-	waiterPool.Put(w)
+	m.mu.Lock()
+	m.unpark(w)
+	m.mu.Unlock()
 	return r.n, r.err
 }
 
